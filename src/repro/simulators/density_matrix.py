@@ -25,7 +25,12 @@ from .fusion import choose_fusion_width, fuse_circuit
 from .kernels import apply_plan_to_density_matrix, resolve_backend
 from .statevector import Statevector
 
-__all__ = ["DensityMatrix", "simulate_density_matrix", "noisy_distribution_density_matrix"]
+__all__ = [
+    "DensityMatrix",
+    "apply_readout_confusion",
+    "simulate_density_matrix",
+    "noisy_distribution_density_matrix",
+]
 
 
 class DensityMatrix:
@@ -189,13 +194,26 @@ def noisy_distribution_density_matrix(
     )
     qubits = circuit.measurement_layout()
     distribution = state.probability_distribution(qubits)
-    for bit, qubit in enumerate(qubits):
+    return apply_readout_confusion(distribution, qubits, noise_model), qubits
+
+
+def apply_readout_confusion(
+    distribution: ProbabilityDistribution,
+    measured_qubits: Sequence[int],
+    noise_model: NoiseModel,
+) -> ProbabilityDistribution:
+    """Apply per-bit readout confusion for ``measured_qubits`` in clbit order.
+
+    Shared by :func:`noisy_distribution_density_matrix` and the engine's
+    readout-factored density-matrix path, so cached and uncached results
+    agree bit for bit.  Asymmetric errors need the full confusion treatment,
+    so the 2x2 confusion is applied exactly per bit.
+    """
+    for bit, qubit in enumerate(measured_qubits):
         error = noise_model.readout_error(qubit)
         if error is not None:
-            # Asymmetric errors need the full confusion treatment; apply the
-            # 2x2 confusion exactly per bit.
             distribution = _apply_confusion_bit(distribution, bit, error.confusion_matrix)
-    return distribution, qubits
+    return distribution
 
 
 def _apply_confusion_bit(

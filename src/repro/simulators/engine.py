@@ -49,8 +49,6 @@ import weakref
 from collections import OrderedDict
 from typing import Any, Sequence
 
-import numpy as np
-
 from ..circuits import QuantumCircuit, circuit_fingerprint
 from ..distributions import Counts, ProbabilityDistribution, scatter_outcomes
 from ..metrics import MetricsRegistry, MetricsStore, get_global_registry
@@ -58,8 +56,11 @@ from ..noise import NoiseModel, as_noise_model
 from ..tracing import TraceRecorder, TraceStore, result_digest
 from ..transpiler.compilation import CompilationCache, CompiledCircuit
 from .cache import DEFAULT_MAX_BYTES, PersistentResultCache
-from .density_matrix import noisy_distribution_density_matrix
-from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD
+# Re-exported for code that addresses the density-matrix entry point on this
+# module (instrumentation wraps it here and in .parallel); the engine's own
+# density-matrix work runs through .parallel's run_compact_task.
+from .density_matrix import noisy_distribution_density_matrix  # noqa: F401
+from .execute import DEFAULT_DENSITY_MATRIX_THRESHOLD, resolve_method
 from .faults import (
     BackendUnavailableError,
     EngineInvariantError,
@@ -77,11 +78,10 @@ from .parallel import (
     DEFAULT_TRAJECTORY_SHOTS,
     CompactTask,
     ParallelSharder,
-    apply_readout_confusion,
+    finish_density_matrix,
     run_compact_task,
 )
 from .result import ExecutionResult, FailedResult
-from .stabilizer import is_clifford_program
 from .trajectory import simulate_trajectories_batched
 
 __all__ = [
@@ -118,7 +118,7 @@ _STAT_METRICS = {
     "batch_dedup_hits": ("repro_engine_batch_dedup_hits_total", "Slots served by another slot of the same batch."),
     "uncacheable": ("repro_engine_uncacheable_total", "Unseeded sampled slots executed fresh every time."),
     "executed": ("repro_engine_executed_total", "Backend executions actually run (post dedup and caches)."),
-    "state_cache_hits": ("repro_engine_state_cache_hits_total", "Density-matrix runs served a cached pre-readout distribution."),
+    "state_cache_hits": ("repro_engine_state_cache_hits_total", "Density-matrix results served by a pre-readout evolution they did not run."),
     "persistent_hits": ("repro_engine_persistent_hits_total", "Cache hits served from the on-disk tier (subset of cache_hits)."),
     "parallel_executed": ("repro_engine_parallel_executed_total", "Executions dispatched to pool workers."),
     "compile_hits": ("repro_engine_compile_hits_total", "Hardware-aware compilations served by the CompilationCache."),
@@ -150,8 +150,9 @@ class EngineStats:
     batch_dedup_hits: int = 0
     uncacheable: int = 0
     executed: int = 0
-    # Density-matrix runs that reused a cached pre-readout distribution
-    # (same circuit + gate noise under a different readout model).
+    # Density-matrix results served by a pre-readout evolution they did not
+    # run: a cached one, or one evolved in the same batch for another result
+    # (same circuit + gate noise, under its own readout model or draw).
     state_cache_hits: int = 0
     # Subset of cache_hits that were served from the persistent on-disk
     # layer (and promoted into the in-memory cache).
@@ -293,6 +294,30 @@ class _Prepared:
     logical_measured: list[int] | None = None
 
 
+@dataclasses.dataclass
+class _WorkItem:
+    """One unique execution of a batch and the request slots it serves.
+
+    ``groups`` are the item's consumers: each group is the slots that share
+    one result (a key's first requester plus its batch duplicates, or one
+    uncacheable slot).  A keyed or direct item has a single group.  A
+    ``dm-state`` item runs the gate-noise evolution of one
+    ``_dm_state_key`` and has a group per density-matrix result it
+    finishes, each with its own readout confusion and sampling.
+
+    ``outcome`` is filled by the execute stage (an ExecutionResult, the
+    ExecutionFault a pool task ended in, or a FailedResult) — or by the
+    planner, when the evolution's state was already cached.
+    """
+
+    request: _Prepared  # what the executor runs
+    shots: int | None
+    groups: list[list[int]]
+    state_key: tuple | None = None
+    state_hit: bool = False
+    outcome: Any = None
+
+
 class ExecutionEngine:
     """Batched, cached execution front-end over the simulators.
 
@@ -324,8 +349,9 @@ class ExecutionEngine:
         vectorized kernels), ``"numba"`` (JIT, transparent numpy fallback
         when unavailable), ``"generic"`` (force the tensordot reference
         path) or ``"auto"``.  ``None`` reads ``REPRO_KERNEL_BACKEND``.
-        The resolved backend is part of sampled and statevector cache keys
-        and is stamped into trace events.
+        The resolved backend is part of every dense method's cache keys
+        (trajectory, statevector, density matrix and its ``dm-state``) and
+        is stamped into trace events.
     workers:
         Process count for sharding :meth:`execute_many` batches across a
         :class:`~repro.simulators.parallel.ParallelSharder` pool.  ``None``
@@ -719,15 +745,13 @@ class ExecutionEngine:
         device,
         on_error: str | None,
     ) -> list[ExecutionResult | FailedResult]:
-        tracer = self.tracer
         on_error = self.on_error if on_error is None else on_error
         if on_error not in ("raise", "isolate"):
             raise ValueError("on_error must be 'raise' or 'isolate'")
         isolate = on_error == "isolate"
         # Batch-wide argument validation stays raise-always even in isolate
         # mode: these reject the call, not any one circuit.
-        if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
-            raise ValueError(f"unknown method {method!r}")
+        resolve_method(method)
         if shots is not None and shots <= 0:
             raise ValueError("shots must be positive")
         if device is not None and noise_model is None:
@@ -741,11 +765,11 @@ class ExecutionEngine:
         # and fed to the metrics histograms.  None when both tracing and
         # metrics are off — every emit site is guarded, so the dark hot
         # path pays one comparison per slot.
-        observing = tracer is not None or self._observe
+        observing = self.tracer is not None or self._observe
         if self._metrics_store is not None:
             # New work after a close() re-arms the atexit snapshot.
             self._metrics_flushed = False
-        bt: dict[str, list] | None = None
+        bt = _batch_trace(len(circuits)) if observing else None
         prepared: list[_Prepared | FailedResult] = []
         for circuit in circuits:
             prepare_started = time.perf_counter() if observing else 0.0
@@ -761,97 +785,251 @@ class ExecutionEngine:
                 if not isolate:
                     raise  # historical contract: the original exception type
                 prepared.append(self._failed_prepare(circuit, exc))
-            if bt is None and observing:
-                bt = _batch_trace(len(circuits))
             if bt is not None:
                 bt["prepare"][len(prepared) - 1] = time.perf_counter() - prepare_started
-        if bt is None and observing:
-            bt = _batch_trace(len(circuits))
-        if workers > 1 and len(prepared) > 1:
-            return self._execute_many_parallel(
-                prepared, shots, max_trajectories, workers, isolate, bt
-            )
 
-        results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
-        batch_first: dict[tuple, ExecutionResult] = {}
-        # key -> FailedResult of its single failed execution; duplicate
-        # requesters are failed from here without re-running the poison.
-        batch_failed: dict[tuple, FailedResult] = {}
-        for index, request in enumerate(prepared):
-            self.stats.requests += 1
-            if isinstance(request, FailedResult):
-                self._count_isolated(request)
-                if bt is not None:
-                    bt["tiers"][index] = "failed-prepare"
-                results[index] = request
-                continue
-            if request.key is None:
-                self.stats.uncacheable += 1
-                if bt is not None:
-                    bt["tiers"][index] = "uncacheable"
-                try:
-                    result = self._execute_with_policy(request, shots, max_trajectories)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    if not isolate:
-                        raise
-                    self._count_isolated(exc)
-                    results[index] = self._failed_result(request, exc)
-                    continue
-                results[index] = self._deliver_traced(result, request, bt, index)
-                continue
-            if request.key in batch_first:
-                self.stats.batch_dedup_hits += 1
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                results[index] = self._deliver_traced(batch_first[request.key], request, bt, index)
-                continue
-            if request.key in batch_failed:
-                self.stats.batch_dedup_hits += 1
-                self._count_isolated(batch_failed[request.key])
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                results[index] = dataclasses.replace(
-                    batch_failed[request.key], metadata=dict(batch_failed[request.key].metadata)
-                )
-                continue
-            cached = self._cache_get_traced(request.key, bt, index)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                results[index] = self._deliver_traced(cached, request, bt, index)
-                continue
-            self.stats.cache_misses += 1
-            if bt is not None:
-                bt["tiers"][index] = "executed"
-            try:
-                result = self._execute_with_policy(request, shots, max_trajectories)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                if not isolate:
-                    raise
-                failed = self._failed_result(request, exc)
-                batch_failed[request.key] = failed
-                self._count_isolated(failed)
-                results[index] = failed
-                continue
-            # A degraded-backend result is never cached: the key's cache
-            # line must keep meaning "what the resolved method returns".
-            # It may still serve duplicate slots within this batch.
-            if "degraded_from" not in result.metadata:
-                self._cache_put(request.key, result)
-            batch_first[request.key] = result
-            # The requester gets its own delivery too — handing out the
-            # cache-backing object would let caller mutations poison
-            # every later hit on this key.
-            results[index] = self._deliver_traced(result, request, bt, index)
+        # plan -> execute -> finish: serial execution is the in-process
+        # executor of the same pipeline the process pool runs.
+        sources, items = self._plan(prepared, shots, bt)
+        try:
+            self._execute(items, max_trajectories, workers, isolate)
+        finally:
+            # A batch aborted in raise mode still caches what it completed.
+            self._finish(items, prepared, sources, shots, max_trajectories, isolate)
+        # The requester gets its own delivery — handing out the
+        # cache-backing object would let caller mutations poison every
+        # later hit on its key.
+        results = [
+            self._deliver_traced(source, request, bt, index)
+            if isinstance(source, ExecutionResult)
+            else source
+            for index, (request, source) in enumerate(zip(prepared, sources))
+        ]
         self._emit_slot_events(results, prepared, bt)
         self._observe_batch(bt)
         # One result per input, in input order — callers zip against their
         # inputs, so a silently shrunk list would misattribute results.
         self._check_delivered(results, prepared)
-        return results  # type: ignore[return-value]
+        return results
+
+    def _plan(
+        self, prepared: list[_Prepared | FailedResult], shots: int | None, bt: dict | None
+    ) -> tuple[list, list[_WorkItem]]:
+        """Plan stage: turn prepared slots into unique work items.
+
+        Returns each slot's *source* — the result already in hand (a cache
+        hit, a failed prepare) or ``None`` while the slot waits on an item —
+        and the items in the slot order of their first consumer.  Duplicates
+        of a key join its group; every density-matrix group joins the single
+        gate-noise evolution of its ``dm-state`` key.
+        """
+        sources: list = [None] * len(prepared)
+        items: list[_WorkItem] = []
+        groups: dict[tuple, list[int]] = {}
+        evolutions: dict[tuple, _WorkItem] = {}
+
+        def add_group(request: _Prepared, group: list[int]) -> None:
+            if request.method != "density_matrix":
+                items.append(_WorkItem(request, shots, [group]))
+                return
+            state_key = self._dm_state_key(request)
+            item = evolutions.get(state_key)
+            if item is None:
+                item = evolutions[state_key] = self._evolution_item(request, state_key)
+                items.append(item)
+            item.groups.append(group)
+
+        for index, request in enumerate(prepared):
+            self.stats.requests += 1
+            if isinstance(request, FailedResult):
+                # Prepare already failed this slot (isolate mode only).
+                self._count_isolated(request)
+                sources[index] = request
+                tier = "failed-prepare"
+            elif request.key is None:
+                # Unseeded sampling: uncacheable and never deduplicated —
+                # each occurrence is an independent draw.
+                self.stats.uncacheable += 1
+                add_group(request, [index])
+                tier = "uncacheable"
+            elif request.key in groups:
+                self.stats.batch_dedup_hits += 1
+                groups[request.key].append(index)
+                tier = "batch-dedup"
+            else:
+                cached = self._cache_get_traced(request.key, bt, index)
+                if cached is not None:
+                    self.stats.cache_hits += 1
+                    sources[index] = cached
+                    continue  # the lookup attributed the serving tier
+                self.stats.cache_misses += 1
+                groups[request.key] = [index]
+                add_group(request, groups[request.key])
+                tier = "executed"
+            if bt is not None:
+                bt["tiers"][index] = tier
+        return sources, items
+
+    def _evolution_item(self, request: _Prepared, state_key: tuple) -> _WorkItem:
+        """The ``dm-state`` item that evolves ``request``'s gate noise.
+
+        The expensive part of a density-matrix execution — evolving the state
+        through the gates and gate-noise channels — does not depend on the
+        readout model, so it runs once per ``state_key`` without readout and
+        each consumer applies its own confusion on top.  A sweep over
+        measurement-error rates (Fig. 7) re-simulates nothing; and because
+        the evolution is deterministic, the state serves unseeded requests
+        too.  A state already cached finishes the item before it runs.
+        """
+        gate_noise, _ = self._gate_noise_for(request.noise)
+        item = _WorkItem(
+            dataclasses.replace(request, noise=gate_noise, seed=None, key=None),
+            shots=None,
+            groups=[],
+            state_key=state_key,
+        )
+        cached = self._cache_get(state_key)
+        if cached is not None:
+            distribution, measured_qubits = cached
+            item.outcome = ExecutionResult(
+                distribution=distribution,
+                measured_qubits=list(measured_qubits),
+                method="density_matrix",
+            )
+            item.state_hit = True
+        return item
+
+    def _execute(
+        self, items: list[_WorkItem], max_trajectories: int, workers: int, isolate: bool
+    ) -> None:
+        """Execute stage: run every item the planner left open.
+
+        The only branch on ``workers``.  The pool shards the items' tasks and
+        leaves each fault for the finish stage to recover; the in-process
+        loop runs the same items through the recovery loop directly, so a
+        raise-mode fault aborts the batch at the first failing item.  Both
+        take fault-injector ordinals in item order.
+        """
+        pending = [item for item in items if item.outcome is None]
+        if workers > 1 and len(pending) > 1:
+            self._execute_on_pool(pending, max_trajectories, workers)
+            return
+        for item in pending:
+            item.outcome = self._guarded(item.request, item.shots, max_trajectories, isolate)
+
+    def _execute_on_pool(
+        self, items: list[_WorkItem], max_trajectories: int, workers: int
+    ) -> None:
+        """Shard ``items`` across the process pool; workers stay pure.
+
+        The sharder already absorbed pool crashes and timeouts: each item
+        gets its :class:`ExecutionResult` or the structured
+        :class:`~repro.simulators.faults.ExecutionFault` that ended it.
+        """
+        tasks = [self._task_for(item.request, item.shots, max_trajectories) for item in items]
+        sharder = self._get_sharder(workers)
+        directives = None
+        if self._fault_injector is not None:
+            # Resolve injector directives parent-side, one ordinal per
+            # dispatched task in dispatch order — workers stay stateless
+            # and a chaos schedule replays deterministically.
+            directives = [
+                self._fault_injector.take_directive(task.fingerprint) for task in tasks
+            ]
+        tracer = self.tracer
+        dispatch_started = time.perf_counter() if tracer is not None else 0.0
+        outputs = sharder.run(tasks, directives=directives, isolate=True)
+        self.stats.parallel_executed += sharder.last_dispatched
+        self.stats.pool_respawns += sharder.last_respawns
+        self.stats.fallback_reason = sharder.fallback_reason
+        if tracer is not None:
+            tracer.event(
+                "dispatch",
+                duration=time.perf_counter() - dispatch_started,
+                tasks=len(tasks),
+                workers=workers,
+                dispatched=sharder.last_dispatched,
+                respawns=sharder.last_respawns,
+                fallback=sharder.fallback_reason,
+            )
+        for item, task, output in zip(items, tasks, outputs):
+            # Pool-boundary trace stitching: pop the worker's span fragment
+            # before the result can reach the cache (a persisted entry must
+            # not carry one run's trace residue into every later hit).
+            fragment = None
+            if isinstance(output, ExecutionResult):
+                fragment = output.metadata.pop("trace_fragment", None)
+            if tracer is not None:
+                self._emit_pool_execute_event(task, output, fragment)
+            if self._observe and fragment is not None:
+                # Worker clocks are incomparable with the parent's; the
+                # fragment's self-measured duration is still a valid
+                # latency sample for the method's execute histogram.
+                duration = fragment.get("duration")
+                if duration is not None:
+                    self._execute_series(task.method).observe(duration)
+            item.outcome = output
+
+    def _finish(
+        self,
+        items: list[_WorkItem],
+        prepared: list,
+        sources: list,
+        shots: int | None,
+        max_trajectories: int,
+        isolate: bool,
+    ) -> None:
+        """Finish stage: recover, cache, and hand every group its source.
+
+        A pool fault is recovered in-parent through :meth:`_guarded` (retry,
+        degradation ladder, then isolation or abort).  One failed execution
+        fails every slot it would have served.  A degraded result serves its
+        batch but is never cached: the key's cache line must keep meaning
+        "what the resolved method returns".  A ``dm-state`` item writes its
+        state entry and finishes each consumer group with its own readout
+        confusion and sampling; a group served by an evolution it did not
+        run counts as a state-cache hit.
+        """
+        for item in items:
+            outcome = item.outcome
+            if outcome is None:
+                continue  # raise mode aborted the batch before this item ran
+            if isinstance(outcome, ExecutionFault):
+                outcome = self._guarded(
+                    item.request, item.shots, max_trajectories, isolate, first_fault=outcome
+                )
+            if isinstance(outcome, FailedResult):
+                for group in item.groups:
+                    for index in group:
+                        self._count_isolated(outcome)
+                        sources[index] = dataclasses.replace(
+                            outcome, metadata=dict(outcome.metadata)
+                        )
+                continue
+            if item.state_key is None:
+                finished = [outcome]
+            else:
+                if not item.state_hit:
+                    self._cache_put(
+                        item.state_key, (outcome.distribution, list(outcome.measured_qubits))
+                    )
+                finished = [
+                    finish_density_matrix(
+                        outcome, prepared[group[0]].noise, shots, prepared[group[0]].seed
+                    )
+                    for group in item.groups
+                ]
+                served = item.groups if item.state_hit else item.groups[1:]
+                self.stats.state_cache_hits += len(served)
+            for group, result in zip(item.groups, finished):
+                self.stats.executed += 1
+                if result.method == "stabilizer":
+                    self.stats.stabilizer_executed += 1
+                key = prepared[group[0]].key
+                if key is not None and "degraded_from" not in result.metadata:
+                    self._cache_put(key, result)
+                for index in group:
+                    sources[index] = result
 
     def _check_delivered(
         self,
@@ -1150,14 +1328,14 @@ class ExecutionEngine:
         max_trajectories: int,
         isolate: bool,
         first_fault: ExecutionFault | None = None,
-    ) -> tuple[ExecutionResult | None, FailedResult | None]:
-        """Run under policy; ``(result, None)`` or — isolating — ``(None, failed)``.
+    ) -> ExecutionResult | FailedResult:
+        """Run under policy; a terminal fault becomes a FailedResult when isolating.
 
         In raise mode the terminal exception propagates (aborting the batch,
         the historical contract).
         """
         try:
-            result = self._execute_with_policy(
+            return self._execute_with_policy(
                 request, shots, max_trajectories, first_fault=first_fault
             )
         except (KeyboardInterrupt, SystemExit):
@@ -1165,294 +1343,7 @@ class ExecutionEngine:
         except Exception as exc:
             if not isolate:
                 raise
-            return None, self._failed_result(request, exc)
-        return result, None
-
-    def _execute_many_parallel(
-        self,
-        prepared: list[_Prepared | FailedResult],
-        shots: int | None,
-        max_trajectories: int,
-        workers: int,
-        isolate: bool,
-        bt: dict | None = None,
-    ) -> list[ExecutionResult | FailedResult]:
-        """Shard a prepared batch across the process pool.
-
-        The parent does everything stateful — deduplication, in-memory and
-        persistent cache lookups, cache writes, delivery translation — so
-        workers stay pure.  Only requests that miss every cache are
-        dispatched; duplicates of a dispatched key wait for its single
-        execution, exactly as in the serial path.
-
-        Fault recovery is parent-side too: the sharder returns a structured
-        :class:`~repro.simulators.faults.ExecutionFault` per failed slot
-        (it already absorbed pool crashes and timeouts), and the parent
-        feeds it to :meth:`_execute_with_policy` — retrying retryable
-        faults in-process, walking the degradation ladder, and only then
-        failing the slot (isolate mode) or the batch (raise mode).
-
-        Density-matrix requests keep the readout-factored state cache: a
-        state-cache hit is finished in the parent (confusion + optional
-        sampling are cheap); a miss dispatches the expensive *gate-noise*
-        evolution to a worker and the parent applies readout on top and
-        writes the ``dm-state`` entry — so measurement-error sweeps
-        warm-start under ``workers>1`` exactly as they do serially.
-        """
-        results: list[ExecutionResult | FailedResult | None] = [None] * len(prepared)
-        # key -> requester indices awaiting the key's single execution
-        pending: OrderedDict[tuple, list[int]] = OrderedDict()
-        tasks: list[CompactTask] = []
-        # Mirror of ``tasks``:
-        #   ("keyed", key)          -> cache-missed non-dm execution
-        #   ("direct", index)       -> uncacheable non-dm execution
-        #   ("dm-state", state_key) -> gate-noise evolution; consumers below
-        task_refs: list[tuple[str, Any]] = []
-        # state_key -> [("keyed", key) | ("direct", index), ...]; several
-        # uncacheable requests of one circuit share a single evolution, as
-        # they would share the state-cache line serially.
-        dm_consumers: OrderedDict[tuple, list[tuple[str, Any]]] = OrderedDict()
-
-        def enqueue_density_matrix(request: _Prepared, consumer: tuple[str, Any]) -> bool:
-            """True if the request was finished from the state cache."""
-            gate_noise, gate_fingerprint = self._gate_noise_for(request.noise)
-            state_key = ("dm-state", request.fingerprint, gate_fingerprint)
-            if state_key not in dm_consumers and self._cache_get(state_key) is not None:
-                return True  # cheap: finish in-parent via the serial path
-            if state_key not in dm_consumers:
-                dm_consumers[state_key] = []
-                tasks.append(
-                    dataclasses.replace(
-                        self._task_for(request, None, max_trajectories),
-                        noise=gate_noise,
-                        seed=None,
-                    )
-                )
-                task_refs.append(("dm-state", state_key))
-            dm_consumers[state_key].append(consumer)
-            return False
-
-        for index, request in enumerate(prepared):
-            self.stats.requests += 1
-            if isinstance(request, FailedResult):
-                # Prepare already failed this slot (isolate mode only).
-                self._count_isolated(request)
-                if bt is not None:
-                    bt["tiers"][index] = "failed-prepare"
-                results[index] = request
-                continue
-            if request.key is None:
-                # Unseeded sampling: uncacheable and never deduplicated —
-                # each occurrence is an independent draw (in a worker, from
-                # fresh OS entropy, exactly as in-process).
-                self.stats.uncacheable += 1
-                if bt is not None:
-                    bt["tiers"][index] = "uncacheable"
-                if request.method == "density_matrix":
-                    if enqueue_density_matrix(request, ("direct", index)):
-                        result, failed = self._guarded(request, shots, max_trajectories, isolate)
-                        if failed is not None:
-                            self._count_isolated(failed)
-                            results[index] = failed
-                        else:
-                            results[index] = self._deliver_traced(result, request, bt, index)
-                else:
-                    tasks.append(self._task_for(request, shots, max_trajectories))
-                    task_refs.append(("direct", index))
-                continue
-            if request.key in pending:
-                self.stats.batch_dedup_hits += 1
-                if bt is not None:
-                    bt["tiers"][index] = "batch-dedup"
-                pending[request.key].append(index)
-                continue
-            cached = self._cache_get_traced(request.key, bt, index)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                results[index] = self._deliver_traced(cached, request, bt, index)
-                continue
-            self.stats.cache_misses += 1
-            if bt is not None:
-                bt["tiers"][index] = "executed"
-            if request.method == "density_matrix":
-                if enqueue_density_matrix(request, ("keyed", request.key)):
-                    # Later duplicates of this key hit the result cache.
-                    result, failed = self._guarded(request, shots, max_trajectories, isolate)
-                    if failed is not None:
-                        self._count_isolated(failed)
-                        results[index] = failed
-                    else:
-                        if "degraded_from" not in result.metadata:
-                            self._cache_put(request.key, result)
-                        results[index] = self._deliver_traced(result, request, bt, index)
-                else:
-                    pending[request.key] = [index]
-            else:
-                pending[request.key] = [index]
-                tasks.append(self._task_for(request, shots, max_trajectories))
-                task_refs.append(("keyed", request.key))
-
-        sharder = self._get_sharder(workers)
-        directives = None
-        if self._fault_injector is not None:
-            # Resolve injector directives parent-side, one ordinal per
-            # dispatched task in dispatch order — workers stay stateless
-            # and a chaos schedule replays deterministically.
-            directives = [
-                self._fault_injector.take_directive(task.fingerprint) for task in tasks
-            ]
-        tracer = self.tracer
-        dispatch_started = time.perf_counter() if tracer is not None else 0.0
-        outputs = sharder.run(tasks, directives=directives, isolate=True)
-        self.stats.parallel_executed += sharder.last_dispatched
-        self.stats.pool_respawns += sharder.last_respawns
-        self.stats.fallback_reason = sharder.fallback_reason
-        if tracer is not None and tasks:
-            tracer.event(
-                "dispatch",
-                duration=time.perf_counter() - dispatch_started,
-                tasks=len(tasks),
-                workers=workers,
-                dispatched=sharder.last_dispatched,
-                respawns=sharder.last_respawns,
-                fallback=sharder.fallback_reason,
-            )
-
-        def finish_density_matrix(request: _Prepared, pre_readout: ExecutionResult) -> ExecutionResult:
-            # Same arithmetic as the serial readout-factored path: exact
-            # confusion per measured bit, then optional seeded sampling.
-            self.stats.executed += 1
-            distribution = apply_readout_confusion(
-                pre_readout.distribution, pre_readout.measured_qubits, request.noise
-            )
-            result = ExecutionResult(
-                distribution=distribution,
-                measured_qubits=list(pre_readout.measured_qubits),
-                method="density_matrix",
-            )
-            if shots is not None:
-                rng = np.random.default_rng(request.seed)
-                counts = distribution.sample(shots, rng)
-                result.counts = counts
-                result.shots = shots
-                result.distribution = counts.to_distribution()
-            return result
-
-        def fail_pending(key: tuple, failed: FailedResult) -> None:
-            # One poison execution fails every duplicate slot awaiting it —
-            # the same dedup that shares results shares failures.
-            for index in pending[key]:
-                self._count_isolated(failed)
-                results[index] = dataclasses.replace(failed, metadata=dict(failed.metadata))
-
-        for task_index, ((kind, ref), output) in enumerate(zip(task_refs, outputs)):
-            # Pool-boundary trace stitching: pop the worker's span fragment
-            # before the result can reach the cache (a persisted entry must
-            # not carry one run's trace residue into every later hit).
-            fragment = None
-            if isinstance(output, ExecutionResult):
-                fragment = output.metadata.pop("trace_fragment", None)
-            if tracer is not None:
-                self._emit_pool_execute_event(tasks[task_index], output, fragment)
-            if self._observe and fragment is not None:
-                # Worker clocks are incomparable with the parent's; the
-                # fragment's self-measured duration is still a valid
-                # latency sample for the method's execute histogram.
-                duration = fragment.get("duration")
-                if duration is not None:
-                    self._execute_series(tasks[task_index].method).observe(duration)
-            if kind == "direct":
-                request = prepared[ref]
-                if isinstance(output, ExecutionFault):
-                    result, failed = self._guarded(
-                        request, shots, max_trajectories, isolate, first_fault=output
-                    )
-                    if failed is not None:
-                        self._count_isolated(failed)
-                        results[ref] = failed
-                    else:
-                        results[ref] = self._deliver_traced(result, request, bt, ref)
-                    continue
-                self.stats.executed += 1
-                if request.method == "stabilizer":
-                    self.stats.stabilizer_executed += 1
-                results[ref] = self._deliver_traced(output, request, bt, ref)
-            elif kind == "keyed":
-                request = prepared[pending[ref][0]]
-                if isinstance(output, ExecutionFault):
-                    result, failed = self._guarded(
-                        request, shots, max_trajectories, isolate, first_fault=output
-                    )
-                    if failed is not None:
-                        fail_pending(ref, failed)
-                    else:
-                        if "degraded_from" not in result.metadata:
-                            self._cache_put(ref, result)
-                        for index in pending[ref]:
-                            results[index] = self._deliver_traced(result, prepared[index], bt, index)
-                    continue
-                self.stats.executed += 1
-                if request.method == "stabilizer":
-                    self.stats.stabilizer_executed += 1
-                self._cache_put(ref, output)
-                for index in pending[ref]:
-                    results[index] = self._deliver_traced(output, prepared[index], bt, index)
-            else:  # dm-state: populate the state cache, then finish consumers
-                if isinstance(output, ExecutionFault):
-                    # Recover in-parent: the first consumer re-runs the
-                    # evolution through the state cache (seeded with the
-                    # pool's fault so retry/degradation apply); later
-                    # consumers are then served by that cache line.
-                    fault: ExecutionFault | None = output
-                    for consumer_kind, consumer_ref in dm_consumers[ref]:
-                        if consumer_kind == "direct":
-                            request = prepared[consumer_ref]
-                            result, failed = self._guarded(
-                                request, shots, max_trajectories, isolate, first_fault=fault
-                            )
-                            fault = None
-                            if failed is not None:
-                                self._count_isolated(failed)
-                                results[consumer_ref] = failed
-                            else:
-                                results[consumer_ref] = self._deliver_traced(
-                                    result, request, bt, consumer_ref
-                                )
-                        else:
-                            request = prepared[pending[consumer_ref][0]]
-                            result, failed = self._guarded(
-                                request, shots, max_trajectories, isolate, first_fault=fault
-                            )
-                            fault = None
-                            if failed is not None:
-                                fail_pending(consumer_ref, failed)
-                            else:
-                                if "degraded_from" not in result.metadata:
-                                    self._cache_put(consumer_ref, result)
-                                for index in pending[consumer_ref]:
-                                    results[index] = self._deliver_traced(
-                                        result, prepared[index], bt, index
-                                    )
-                    continue
-                self._cache_put(ref, (output.distribution, list(output.measured_qubits)))
-                for consumer_kind, consumer_ref in dm_consumers[ref]:
-                    if consumer_kind == "direct":
-                        request = prepared[consumer_ref]
-                        results[consumer_ref] = self._deliver_traced(
-                            finish_density_matrix(request, output), request, bt, consumer_ref
-                        )
-                    else:
-                        request = prepared[pending[consumer_ref][0]]
-                        result = finish_density_matrix(request, output)
-                        self._cache_put(consumer_ref, result)
-                        for index in pending[consumer_ref]:
-                            results[index] = self._deliver_traced(
-                                result, prepared[index], bt, index
-                            )
-        self._emit_slot_events(results, prepared, bt)
-        self._observe_batch(bt)
-        self._check_delivered(results, prepared)
-        return results  # type: ignore[return-value]
+            return self._failed_result(request, exc)
 
     def _task_for(
         self, request: _Prepared, shots: int | None, max_trajectories: int
@@ -1561,10 +1452,6 @@ class ExecutionEngine:
         fusion: bool,
         device=None,
     ) -> _Prepared:
-        if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
-            raise ValueError(f"unknown method {method!r}")
-        if shots is not None and shots <= 0:
-            raise ValueError("shots must be positive")
         logical_measured = None
         device_fingerprint = None
         if device is not None:
@@ -1581,26 +1468,7 @@ class ExecutionEngine:
         else:
             compact, active = circuit, list(range(circuit.num_qubits))
             noise = noise_model
-        resolved = method
-        if resolved == "stabilizer" and not is_clifford_program(compact, noise):
-            # Transparent fallback contract: an explicit stabilizer request
-            # for a non-Clifford program re-resolves exactly as "auto" would,
-            # sharing cache lines with equivalent dense submissions.
-            resolved = "auto"
-        if resolved == "auto":
-            if noise.is_ideal:
-                resolved = "statevector"
-            elif compact.num_qubits <= self.density_matrix_threshold:
-                resolved = "density_matrix"
-            elif is_clifford_program(compact, noise):
-                # Clifford program + Pauli noise, too wide for the exact
-                # tier: the tableau backend samples the same trajectory
-                # statistics at polynomial cost.  Narrow circuits keep the
-                # exact density-matrix tier (strictly better answers).
-                resolved = "stabilizer"
-            else:
-                resolved = "trajectory"
-
+        resolved = resolve_method(method, compact, noise, self.density_matrix_threshold)
         fingerprint = circuit_fingerprint(compact)
         derived_seed = _derive_seed(seed, fingerprint)
         sampled = resolved in ("trajectory", "stabilizer")
@@ -1621,10 +1489,11 @@ class ExecutionEngine:
             # function of the other key components) and the kernel backend
             # (backends agree only to a few ulp, enough to flip a sampled
             # outcome near a CDF boundary) — are part of the identity of a
-            # sampled result.  Statevector results are deterministic but
-            # keyed by backend for the same ulp reason; density-matrix keys
-            # carry it on the dm-state key instead (readout factoring), and
-            # the stabilizer backend ignores fusion and kernels entirely
+            # sampled result.  The exact dense methods (statevector and
+            # density matrix) are deterministic but keyed by backend for the
+            # same ulp reason — on the result key as well as the dm-state
+            # key, since a result-line hit never reaches the state key.  The
+            # stabilizer backend ignores fusion and kernels entirely
             # (tableaus need the raw gate names), so its keys do too.  The
             # ``resolved`` method string is the backend tag that keeps
             # stabilizer and dense entries for one circuit from colliding.
@@ -1634,10 +1503,10 @@ class ExecutionEngine:
                     self.fusion_max_qubits if fusion else None,
                     self.kernel_backend,
                 )
-            elif resolved == "statevector":
-                key_fusion = (self.kernel_backend,)
-            else:
+            elif resolved == "stabilizer":
                 key_fusion = None
+            else:
+                key_fusion = (self.kernel_backend,)
             # The trailing device component keeps device-compiled and plain
             # logical submissions apart even in the (identity-compile) case
             # where the physical circuit's structure equals the logical one.
@@ -1864,9 +1733,6 @@ class ExecutionEngine:
         apply_injected_directive(
             directive, fingerprint=request.fingerprint, method=method, in_worker=False
         )
-        self.stats.executed += 1
-        if method == "stabilizer":
-            self.stats.stabilizer_executed += 1
         if method == "trajectory_loop":
             # Last ladder rung: the per-trajectory reference loop — slowest
             # backend, fewest assumptions.  Same sampling contract as the
@@ -1885,28 +1751,10 @@ class ExecutionEngine:
                 shots=counts.shots,
                 method="trajectory",
             )
-        if method == "density_matrix":
-            # Readout-factored path: the expensive gate-noise evolution is
-            # served by the state cache; only the confusion differs per
-            # request.  Arithmetic matches run_compact_task's uncached
-            # density-matrix branch bit for bit.
-            distribution, measured_qubits = self._density_matrix_distribution(request)
-            result = ExecutionResult(
-                distribution=distribution,
-                measured_qubits=measured_qubits,
-                method="density_matrix",
-            )
-            if shots is not None:
-                rng = np.random.default_rng(request.seed)
-                counts = distribution.sample(shots, rng)
-                result.counts = counts
-                result.shots = shots
-                result.distribution = counts.to_distribution()
-            return result
-        # Statevector and trajectory share the pure compute function with
-        # the pool workers — one code path, bit-identical results.  The
-        # method override (a degraded ladder rung) replaces the request's
-        # resolved method without re-preparing.
+        # Every other method shares the pure compute function with the pool
+        # workers — one code path, bit-identical results.  The method
+        # override (a degraded ladder rung) replaces the request's resolved
+        # method without re-preparing.
         task = self._task_for(request, shots, max_trajectories)
         if method != request.method:
             task = dataclasses.replace(task, method=method)
@@ -1922,34 +1770,14 @@ class ExecutionEngine:
             self._gate_noise[noise] = memo
         return memo[1], memo[2]
 
-    def _density_matrix_distribution(self, request: _Prepared):
-        """Exact noisy distribution with readout factored out of the cache key.
+    def _dm_state_key(self, request: _Prepared) -> tuple:
+        """Cache key of a density-matrix request's pre-readout state.
 
-        The expensive part of a density-matrix execution — evolving the state
-        through the gates and gate-noise channels — does not depend on the
-        readout model, so the pre-readout distribution is cached under
-        (circuit, gate noise) and this request's readout confusion is applied
-        on top.  A sweep over measurement-error rates (Fig. 7) re-simulates
-        nothing; and because the simulation is deterministic, the state cache
-        serves unseeded requests too.
+        Covers the circuit, the gate noise (readout factored out) and the
+        kernel backend the evolution runs on.
         """
-        gate_noise, gate_fingerprint = self._gate_noise_for(request.noise)
-        state_key = ("dm-state", request.fingerprint, gate_fingerprint, self.kernel_backend)
-        cached = self._cache_get(state_key)
-        if cached is None:
-            distribution, measured_qubits = noisy_distribution_density_matrix(
-                request.compact,
-                gate_noise,
-                fusion=request.fusion,
-                fusion_max_qubits=self.fusion_max_qubits,
-                kernel_backend=self.kernel_backend,
-            )
-            self._cache_put(state_key, (distribution, measured_qubits))
-        else:
-            self.stats.state_cache_hits += 1
-            distribution, measured_qubits = cached
-        distribution = apply_readout_confusion(distribution, measured_qubits, request.noise)
-        return distribution, list(measured_qubits)
+        _, gate_fingerprint = self._gate_noise_for(request.noise)
+        return ("dm-state", request.fingerprint, gate_fingerprint, self.kernel_backend)
 
     def _deliver(self, source: ExecutionResult, request: _Prepared) -> ExecutionResult:
         """Translate a compact-space result into the requester's embedding.

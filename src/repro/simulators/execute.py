@@ -32,9 +32,47 @@ from .parallel import CompactTask, run_compact_task
 from .result import ExecutionResult
 from .stabilizer import is_clifford_program
 
-__all__ = ["execute", "execute_many", "DEFAULT_DENSITY_MATRIX_THRESHOLD"]
+__all__ = ["execute", "execute_many", "resolve_method", "DEFAULT_DENSITY_MATRIX_THRESHOLD"]
 
 DEFAULT_DENSITY_MATRIX_THRESHOLD = 10
+
+METHODS = ("auto", "statevector", "density_matrix", "trajectory", "stabilizer")
+
+
+def resolve_method(
+    method: str,
+    circuit: QuantumCircuit | None = None,
+    noise_model: NoiseModel | None = None,
+    density_matrix_threshold: int = DEFAULT_DENSITY_MATRIX_THRESHOLD,
+) -> str:
+    """Validate ``method`` and resolve it to the backend that runs ``circuit``.
+
+    ``"auto"`` picks the cheapest method that is exact enough (see the module
+    docstring).  An explicit ``"stabilizer"`` request for a program that is
+    not Clifford under Pauli noise re-resolves exactly as ``"auto"`` would,
+    so it shares cache lines with the equivalent dense submission.  Narrow
+    noisy circuits keep the exact density-matrix tier even when Clifford
+    (strictly better answers); only wider ones go to the tableau backend.
+
+    With no ``circuit`` only the validation runs — the engine checks a
+    whole batch's ``method`` this way before preparing any circuit.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if circuit is None:
+        return method
+    noise_model = noise_model or NoiseModel.ideal()
+    if method == "stabilizer" and not is_clifford_program(circuit, noise_model):
+        method = "auto"
+    if method != "auto":
+        return method
+    if noise_model.is_ideal:
+        return "statevector"
+    if circuit.num_qubits <= density_matrix_threshold:
+        return "density_matrix"
+    if is_clifford_program(circuit, noise_model):
+        return "stabilizer"
+    return "trajectory"
 
 
 def execute(
@@ -77,24 +115,10 @@ def execute(
         reproducible per setting, not across settings.
     """
     noise_model = noise_model or NoiseModel.ideal()
-    if method not in ("auto", "statevector", "density_matrix", "trajectory", "stabilizer"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method == "stabilizer" and not is_clifford_program(circuit, noise_model):
-        method = "auto"  # transparent fallback to the dense tier
-    if method == "auto":
-        if noise_model.is_ideal:
-            method = "statevector"
-        elif circuit.num_qubits <= density_matrix_threshold:
-            method = "density_matrix"
-        elif is_clifford_program(circuit, noise_model):
-            method = "stabilizer"
-        else:
-            method = "trajectory"
-
+    method = resolve_method(method, circuit, noise_model, density_matrix_threshold)
     # The execution arithmetic lives in exactly one place —
     # :func:`repro.simulators.parallel.run_compact_task`, shared with the
-    # engine's serial path and every pool worker — which is what keeps the
+    # engine's in-process executor and every pool worker — which is what keeps the
     # "engine results are bit-identical to sequential execute" contract a
     # structural property rather than a maintenance promise.
     result = run_compact_task(

@@ -9,11 +9,12 @@ requests across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   deduplicates identical circuits and consults the in-memory + persistent
   caches — only genuinely novel work is dispatched;
 * each **worker** runs :func:`run_compact_task`, the same pure compute
-  function the engine's serial path uses, so a parallel run is bit-identical
-  to a serial one (same derived seeds, same RNG streams, same arithmetic);
-* compact-space results are pickled back, cached by the parent, and merged
-  into each requester's wire embedding through the engine's existing
-  ``_deliver`` translation.
+  function the engine's in-process executor reaches through its recovery
+  loop, so a parallel run is bit-identical to a serial one (same derived
+  seeds, same RNG streams, same arithmetic);
+* compact-space results are pickled back and handed to the engine's finish
+  stage, which recovers faults, caches, and delivers each result into its
+  requesters' wire embeddings exactly as it does for in-process outcomes.
 
 Worker determinism
 ------------------
@@ -77,7 +78,7 @@ import numpy as np
 
 from ..circuits import QuantumCircuit
 from ..noise import NoiseModel
-from .density_matrix import _apply_confusion_bit, noisy_distribution_density_matrix
+from .density_matrix import apply_readout_confusion, noisy_distribution_density_matrix
 from .ensemble import simulate_trajectories_ensemble
 from .faults import (
     ExecutionFault,
@@ -97,6 +98,8 @@ __all__ = [
     "CompactTask",
     "ParallelSharder",
     "run_compact_task",
+    "sample_shots",
+    "finish_density_matrix",
     "DEFAULT_CHUNKS_PER_WORKER",
     "DEFAULT_TRAJECTORY_SHOTS",
 ]
@@ -161,11 +164,14 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
     """Execute one compact-space task; pure function of the task contents.
 
     This is the single source of truth for what an engine execution *is* —
-    the serial path (``ExecutionEngine._run``) and every pool worker call
-    it, which is what makes parallel results bit-identical to serial ones.
-    The density-matrix branch reproduces the engine's readout-factored
-    arithmetic (gate-noise evolution, then per-bit confusion) without the
-    state cache, so cached and uncached runs agree exactly.
+    the engine's in-process executor (through ``ExecutionEngine._run``, under
+    its retry and degradation loop) and every pool worker call it, which is
+    what makes parallel results bit-identical to serial ones.  The engine
+    submits density-matrix work as a gate-noise-only task and applies each
+    requester's readout with :func:`finish_density_matrix`; the
+    density-matrix branch here runs the same arithmetic (evolution, per-bit
+    confusion, the :func:`sample_shots` tail) in one go, so factored and
+    unfactored runs agree exactly.
     """
     if task.method == "trajectory":
         counts, measured_qubits = simulate_trajectories_ensemble(
@@ -198,29 +204,16 @@ def run_compact_task(task: CompactTask) -> ExecutionResult:
             measured_qubits=list(measured_qubits),
             method="density_matrix",
         )
-        if task.shots is not None:
-            rng = np.random.default_rng(task.seed)
-            counts = distribution.sample(task.shots, rng)
-            result.counts = counts
-            result.shots = task.shots
-            result.distribution = counts.to_distribution()
-        return result
+        return sample_shots(result, task.shots, task.seed)
     if task.method == "statevector":
         if not task.noise.is_ideal:
             raise ValueError("the statevector method cannot apply noise")
-        distribution = ideal_distribution(task.circuit, kernel_backend=task.kernel_backend)
         result = ExecutionResult(
-            distribution=distribution,
+            distribution=ideal_distribution(task.circuit, kernel_backend=task.kernel_backend),
             measured_qubits=task.circuit.measurement_layout(),
             method="statevector",
         )
-        if task.shots is not None:
-            rng = np.random.default_rng(task.seed)
-            counts = distribution.sample(task.shots, rng)
-            result.counts = counts
-            result.shots = task.shots
-            result.distribution = counts.to_distribution()
-        return result
+        return sample_shots(result, task.shots, task.seed)
     if task.method == "stabilizer":
         # Tableau simulation works on the raw (named-gate) circuit; fusion
         # would erase gate names into dense matrices, so the fusion flags
@@ -308,21 +301,39 @@ def _run_pair_inprocess(task: CompactTask, directive) -> ExecutionResult | Execu
         )
 
 
-def apply_readout_confusion(
-    distribution, measured_qubits: Sequence[int], noise: NoiseModel
-):
-    """Apply per-bit readout confusion for ``measured_qubits`` in clbit order.
+def sample_shots(result: ExecutionResult, shots: int | None, seed: int | None) -> ExecutionResult:
+    """The seeded-sampling tail of the exact methods.
 
-    Shared by the engine's readout-factored density-matrix path and
-    :func:`noisy_distribution_density_matrix` — both must apply confusion in
-    the same order with the same arithmetic for cached and uncached results
-    to agree bit-for-bit.
+    With ``shots`` set, draws them from ``default_rng(seed)`` and replaces the
+    exact distribution by the sampled counts' empirical one; ``None`` leaves
+    the exact result untouched.
     """
-    for bit, qubit in enumerate(measured_qubits):
-        error = noise.readout_error(qubit)
-        if error is not None:
-            distribution = _apply_confusion_bit(distribution, bit, error.confusion_matrix)
-    return distribution
+    if shots is not None:
+        counts = result.distribution.sample(shots, np.random.default_rng(seed))
+        result.counts = counts
+        result.shots = shots
+        result.distribution = counts.to_distribution()
+    return result
+
+
+def finish_density_matrix(
+    pre_readout: ExecutionResult, noise: NoiseModel, shots: int | None, seed: int | None
+) -> ExecutionResult:
+    """One density-matrix request from its shared pre-readout distribution.
+
+    Applies the request's readout confusion, then the :func:`sample_shots`
+    tail — the arithmetic :func:`run_compact_task` runs for a whole
+    density-matrix task, split where the engine's state cache factors it.
+    """
+    distribution = apply_readout_confusion(
+        pre_readout.distribution, pre_readout.measured_qubits, noise
+    )
+    result = ExecutionResult(
+        distribution=distribution,
+        measured_qubits=list(pre_readout.measured_qubits),
+        method="density_matrix",
+    )
+    return sample_shots(result, shots, seed)
 
 
 class ParallelSharder:

@@ -80,6 +80,32 @@ def _subset_workload(num_qubits: int = 6, repeats: int = 3) -> list[QuantumCircu
 
 NOISE = NoiseModel.depolarizing(p1=0.005, p2=0.02, readout=0.02)
 
+EXECUTOR_COUNTERS = ("executed", "state_cache_hits", "cache_hits", "batch_dedup_hits", "uncacheable")
+
+
+def _readout_sweep_scenario(workers: int, cache_dir: str):
+    """A density-matrix readout sweep through one executor.
+
+    Cold unseeded duplicates (two requests per evolution), a seeded sweep
+    over two readout settings of a second gate-noise model, a memory-warm
+    rerun, then a persistent-warm rerun in a fresh engine.  Returns the
+    seeded results and both engines' counters.
+    """
+    circuits = _subset_workload(repeats=2)
+    noise = NoiseModel.depolarizing(p1=0.01, p2=0.03, readout=0.02)
+    seeded = []
+    with ExecutionEngine(workers=workers, cache_dir=cache_dir) as engine:
+        engine.execute_many(circuits, NOISE, shots=64)
+        for factor in (1.0, 2.0):
+            model = noise.with_readout_scaled(factor)
+            seeded.append(engine.execute_many(circuits, model, shots=256, seed=9))
+        seeded.append(engine.execute_many(circuits, noise, shots=256, seed=9))
+        counters = {name: getattr(engine.stats, name) for name in EXECUTOR_COUNTERS}
+    with ExecutionEngine(workers=workers, cache_dir=cache_dir) as warm:
+        seeded.append(warm.execute_many(circuits, noise, shots=256, seed=9))
+        warm_counters = {name: getattr(warm.stats, name) for name in EXECUTOR_COUNTERS}
+    return seeded, counters, warm_counters
+
 
 class TestParallelBitIdentity:
     """Acceptance: parallel results equal serial in-memory results exactly."""
@@ -163,6 +189,21 @@ class TestParallelBitIdentity:
     def test_workers_validation(self):
         with pytest.raises(ValueError, match="workers"):
             ExecutionEngine(workers=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_executors_agree_on_results_and_counters(self, workers, tmp_path):
+        # Serial execution is the in-process executor of the one batch
+        # pipeline: whichever executor runs the planned items, results and
+        # the planner's accounting are the same — including unseeded
+        # duplicates sharing one evolution (a state-cache hit for the
+        # consumer that did not run it).
+        serial = _readout_sweep_scenario(1, str(tmp_path / "serial"))
+        observed = _readout_sweep_scenario(workers, str(tmp_path / "observed"))
+        for expected_batch, batch in zip(serial[0], observed[0]):
+            assert all(_results_identical(a, b) for a, b in zip(expected_batch, batch))
+        assert observed[1] == serial[1]
+        assert observed[2] == serial[2]
+        assert serial[1]["state_cache_hits"] > 0 and serial[2]["cache_hits"] > 0
 
 
 class TestParallelSharder:
@@ -248,6 +289,30 @@ class TestPersistentCache:
                 a = serial.execute_many(circuits, model, shots=256, seed=9)
                 b = parallel.execute_many(circuits, model, shots=256, seed=9)
                 assert all(_results_identical(x, y) for x, y in zip(a, b))
+
+    def test_pool_dm_states_serve_a_serial_readout_sweep(self):
+        # Regression: the pool path keyed dm-state entries without the
+        # kernel backend, so a serial sweep after a workers=2 batch on the
+        # same engine missed every state the pool had evolved.
+        circuits = _subset_workload(repeats=1)
+        with ExecutionEngine(workers=2) as engine:
+            engine.execute_many(circuits, NOISE, shots=256, seed=9)
+            hits_before = engine.stats.state_cache_hits
+            engine.execute_many(
+                circuits, NOISE.with_readout_scaled(2.0), shots=256, seed=9, workers=1
+            )
+            assert engine.stats.state_cache_hits == hits_before + len(circuits)
+
+    def test_density_matrix_results_are_keyed_by_kernel_backend(self, tmp_path):
+        # Backends agree only to a few ulp, so a density-matrix result one
+        # kernel backend persisted must not be served to another.
+        circuits = _subset_workload(repeats=1)
+        generic = ExecutionEngine(cache_dir=str(tmp_path), kernel_backend="generic")
+        generic.execute_many(circuits, NOISE, shots=256, seed=9)
+        numpy_engine = ExecutionEngine(cache_dir=str(tmp_path), kernel_backend="numpy")
+        numpy_engine.execute_many(circuits, NOISE, shots=256, seed=9)
+        assert numpy_engine.stats.persistent_hits == 0
+        assert numpy_engine.stats.executed == len(circuits)
 
     def test_dm_state_entries_warm_readout_sweeps(self, tmp_path):
         # The readout-factored density-matrix state entries persist too: a
